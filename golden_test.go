@@ -4,20 +4,29 @@ package mlpart
 // smoke.hgr plus three pinned netgen circuits) through
 // Bipartition/Quadrisect/RecursiveBisect at fixed seeds must keep
 // producing the exact cuts recorded in testdata/golden_cuts.json —
-// and produce them bit-identically at Parallelism 1 and 4. Any
-// change to RNG consumption anywhere in the pipeline (the classic
-// symptom of a workspace that leaks state between levels or starts)
-// trips this test. Regenerate deliberately with:
+// and produce them bit-identically at Parallelism 1 and 4. Each entry
+// also pins the SHA-256 digest of the partition file, so a change
+// that keeps the cut but moves cells trips it too. VCycle,
+// TwoPhaseBipartition and core.Quadrisect with pre-assigned pads (the
+// only Fixed path) are pinned the same way. Any change to RNG
+// consumption anywhere in the pipeline (the classic symptom of a
+// workspace that leaks state between levels or starts) trips this
+// test. Regenerate deliberately with:
 //
 //	go test -run Golden -update-golden .
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mlpart/internal/core"
 	"mlpart/internal/oracle"
 )
 
@@ -29,6 +38,7 @@ type goldenEntry struct {
 	Instance  string `json:"instance"`
 	Algorithm string `json:"algorithm"`
 	Cut       int    `json:"cut"`
+	Digest    string `json:"digest"`
 }
 
 type goldenFile struct {
@@ -79,7 +89,7 @@ func goldenInstances(t *testing.T) []struct {
 // 8-worker intra pool and requires bit-identity there too (the
 // tentpole contract: worker count never changes the result, only
 // 0-vs->=1 selects the algorithm).
-func goldenRun(t *testing.T, algorithm string, h *Hypergraph, intra int) int {
+func goldenRun(t *testing.T, algorithm string, h *Hypergraph, intra int) (*Partition, int) {
 	t.Helper()
 	runAt := func(par, workers int) (*Partition, int) {
 		opt := Options{Seed: 7, Starts: 2, Parallelism: par, IntraParallelism: workers}
@@ -130,7 +140,65 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph, intra int) int {
 	if want := oracle.Cut(h, p1); cut1 != want {
 		t.Fatalf("%s: reported cut %d, oracle recount %d", algorithm, cut1, want)
 	}
-	return cut1
+	return p1, cut1
+}
+
+// partitionDigest is the hex SHA-256 of p's partition file.
+func partitionDigest(t *testing.T, p *Partition) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePartition(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// goldenPads pins the pre-assigned-pad pattern of the quadrisect-pads
+// entry: every 16th cell is fixed, cycling through the four blocks.
+func goldenPads(n int) ([]bool, []int32) {
+	fixed := make([]bool, n)
+	pre := make([]int32, n)
+	for v := 0; v < n; v += 16 {
+		fixed[v], pre[v] = true, int32(v/16%4)
+	}
+	return fixed, pre
+}
+
+// goldenExtra runs the entry points that sit beside the multi-start
+// API: VCycle (3 cycles from the golden bipartition), the two-phase
+// baseline, and core.Quadrisect with pinned pre-assigned pads.
+func goldenExtra(t *testing.T, name string, h *Hypergraph, bip *Partition) []goldenEntry {
+	t.Helper()
+	entry := func(alg string, p *Partition, cut int) goldenEntry {
+		if want := oracle.Cut(h, p); cut != want {
+			t.Fatalf("%s: reported cut %d, oracle recount %d", alg, cut, want)
+		}
+		return goldenEntry{Instance: name, Algorithm: alg, Cut: cut, Digest: partitionDigest(t, p)}
+	}
+	pv, vcut, err := VCycle(h, bip, 3, MLConfig{}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, tres, err := TwoPhaseBipartition(h, MLConfig{}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, pre := goldenPads(h.NumCells())
+	pq, qres, err := core.Quadrisect(h, core.QuadConfig{Fixed: fixed, Preassign: pre}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, fx := range fixed {
+		if fx && pq.Part[v] != pre[v] {
+			t.Fatalf("quadrisect-pads: pad %d in block %d, pre-assigned %d", v, pq.Part[v], pre[v])
+		}
+	}
+	return []goldenEntry{
+		entry("vcycle", pv, vcut),
+		entry("twophase", pt, tres.Cut),
+		entry("quadrisect-pads", pq, qres.CutNets),
+	}
 }
 
 func TestGoldenCuts(t *testing.T) {
@@ -152,13 +220,20 @@ func TestGoldenCuts(t *testing.T) {
 	}
 	var got []goldenEntry
 	for _, inst := range goldenInstances(t) {
+		var bip *Partition
 		for _, tc := range cases {
+			p, cut := goldenRun(t, tc.alg, inst.h, tc.intra)
+			if tc.label == "bipartition" {
+				bip = p
+			}
 			got = append(got, goldenEntry{
 				Instance:  inst.name,
 				Algorithm: tc.label,
-				Cut:       goldenRun(t, tc.alg, inst.h, tc.intra),
+				Cut:       cut,
+				Digest:    partitionDigest(t, p),
 			})
 		}
+		got = append(got, goldenExtra(t, inst.name, inst.h, bip)...)
 	}
 
 	path := filepath.Join("testdata", "golden_cuts.json")
