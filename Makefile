@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke bench-smoke oracle check
+.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke bench-smoke e2ebench-test oracle check
 
 all: build
 
@@ -115,10 +115,17 @@ stream-smoke:
 bench-smoke:
 	$(GO) run ./cmd/benchrun -iters 2 -out /tmp/mlpart-bench-smoke.json
 
+# The end-to-end benchmark (e2ebench/, see BENCHMARK.json) is its own
+# Go module, so `go test ./...` at the root never reaches its unit
+# tests: tail selection, quartiles, span self-time, plan determinism
+# and the BENCHMARK.json match. Vet and test it from inside.
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
 # Differential oracle suite: the optimized pipeline against the slow
 # from-scratch reference (internal/oracle), twice to catch state
 # leaking between runs, under the race detector.
 oracle:
 	$(GO) test -race -run Oracle -count=2 . ./internal/fm ./internal/oracle
 
-check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke oracle bench-smoke
+check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke oracle bench-smoke e2ebench-test

@@ -64,8 +64,11 @@ func TestChaosSweep(t *testing.T) {
 								Entries: []FaultEntry{faultinject.On(site, kind, 1)},
 							},
 						}
+						// err is per subtest: the parallel subtests must not
+						// share the enclosing function's err.
 						var p *Partition
 						var info Info
+						var err error
 						if k == 2 {
 							p, info, err = BipartitionCtx(context.Background(), h, opt)
 						} else {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mlpart/internal/coarsen"
+	"mlpart/internal/faultinject"
 	"mlpart/internal/fm"
 	"mlpart/internal/hypergraph"
 )
@@ -198,6 +199,46 @@ func TestCoarsestStarts(t *testing.T) {
 	}
 	if len(res.RefineResults) != res.Levels+1 {
 		t.Errorf("RefineResults %d entries, want levels+1 = %d", len(res.RefineResults), res.Levels+1)
+	}
+}
+
+// TestCoarsestPanicKeepsFinishedStart pins the degraded path of the
+// coarsest-partition stage: when the engine panics after at least one
+// of several starts has finished, the best finished start is kept (no
+// random fallback), and the run reports the recovered panic.
+func TestCoarsestPanicKeepsFinishedStart(t *testing.T) {
+	h := clusteredH(rand.New(rand.NewSource(14)), 12, 30)
+	cfg := Config{CoarsestStarts: 3}
+	// Replay the run's RNG stream up to the end of the first start:
+	// coarsening, then one fm.Partition of the coarsest netlist.
+	rng := rand.New(rand.NewSource(15))
+	hs, _, err := Hierarchy(h, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := cfg.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := fm.Partition(hs[len(hs)-1], nil, norm.Refine, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fm.pass fires once per pass, so this hit is the first pass of
+	// the second start.
+	plan := &faultinject.Plan{Entries: []faultinject.Entry{faultinject.On(faultinject.SiteFMPass, faultinject.KindPanic, first.Passes+1)}}
+	cfg.Inject = plan.NewInjector(0, 0)
+	cfg.Audit = true
+	p, res, err := Bipartition(h, cfg, rand.New(rand.NewSource(15)))
+	pe, ok := AsPanicError(err)
+	if !ok || pe.Stage != "coarsest-partition" || pe.Level != len(hs)-1 {
+		t.Fatalf("want a recovered coarsest-partition panic at level %d, got %v", len(hs)-1, err)
+	}
+	if p == nil || p.Validate(h.NumCells()) != nil {
+		t.Fatal("want a valid degraded partition")
+	}
+	if len(res.RefineResults) != 1 || res.RefineResults[0] != first {
+		t.Fatalf("coarsest result %+v, want the finished first start %+v", res.RefineResults, first)
 	}
 }
 

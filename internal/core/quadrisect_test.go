@@ -100,6 +100,9 @@ func TestQuadrisectConfigErrors(t *testing.T) {
 	if _, _, err := Quadrisect(h, QuadConfig{Threshold: 1}, rng); err == nil {
 		t.Error("bad threshold must error")
 	}
+	if _, _, err := Quadrisect(h, QuadConfig{MaxLevels: -1}, rng); err == nil {
+		t.Error("negative MaxLevels must error")
+	}
 	fixed := make([]bool, 20)
 	pre := make([]int32, 20)
 	fixed[0], pre[0] = true, 9

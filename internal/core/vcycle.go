@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"mlpart/internal/coarsen"
-	"mlpart/internal/fm"
 	"mlpart/internal/hypergraph"
 )
 
@@ -38,7 +36,6 @@ func VCycleCtx(ctx context.Context, h *hypergraph.Hypergraph, p *hypergraph.Part
 	if ctx == nil {
 		ctx = context.Background() //mllint:ignore ctx-thread normalizing a nil ctx from the caller; there is no ambient deadline to discard
 	}
-	cfg.Refine.Stop = mergeStop(cfg.Refine.Stop, ctx)
 	if err := p.Validate(h.NumCells()); err != nil {
 		return nil, 0, err
 	}
@@ -51,91 +48,21 @@ func VCycleCtx(ctx context.Context, h *hypergraph.Hypergraph, p *hypergraph.Part
 	// the winning candidate escapes into best below.
 	ws := &pipelineWS{}
 	defer ws.startPool(cfg.IntraParallelism)()
-	cfg.Refine.WS = &ws.refine
-	cfg.Refine.Par = ws.pool
+	d := cfg.driver(ctx, ws)
 	best := p.Clone()
 	bestCut := best.WeightedCut(h)
-	for cycle := 0; cycle < maxCycles; cycle++ {
-		if ctx.Err() != nil {
-			break
-		}
-		cand, err := oneVCycle(ctx, h, best, cfg, rng, ws)
+	for cycle := 0; cycle < maxCycles && ctx.Err() == nil; cycle++ {
+		// Each cycle re-coarsens around (a copy of) the best solution,
+		// restricted to same-block matching, and refines it back down.
+		cand, _, err := d.run(ctx, h, nil, nil, best.Clone(), rng)
 		if err != nil {
 			return nil, 0, err
 		}
-		if cut := cand.WeightedCut(h); cut < bestCut {
-			best, bestCut = cand, cut
-		} else {
+		cut := cand.WeightedCut(h)
+		if cut >= bestCut {
 			break
 		}
+		best, bestCut = cand, cut
 	}
 	return best, bestCut, nil
-}
-
-// oneVCycle rebuilds a restricted hierarchy around p and refines.
-func oneVCycle(ctx context.Context, h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand, ws *pipelineWS) (*hypergraph.Partition, error) {
-	type lv struct {
-		h *hypergraph.Hypergraph
-		c *hypergraph.Clustering
-	}
-	levels := []lv{{h: h}}
-	parts := []*hypergraph.Partition{p.Clone()}
-	cur := h
-	curP := p
-	for cur.NumCells() > cfg.Threshold && len(levels) <= cfg.MaxLevels {
-		if ctx.Err() != nil {
-			break
-		}
-		mc := coarsen.Config{Ratio: cfg.Ratio, SameBlockOnly: curP, Stop: mergeStop(nil, ctx), WS: &ws.match, Par: ws.pool}
-		c, err := coarsen.Match(cur, mc, rng)
-		if err != nil {
-			return nil, err
-		}
-		var coarse *hypergraph.Hypergraph
-		if cfg.MergeParallelNets {
-			coarse, err = hypergraph.InduceMergedWS(cur, c, &ws.induce)
-		} else {
-			coarse, err = hypergraph.InduceWSPar(cur, c, &ws.induce, ws.pool)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if coarse.NumCells() >= cur.NumCells() {
-			break
-		}
-		// Push the partition up: every cluster is block-pure by
-		// construction, so take any member's block.
-		cp := hypergraph.NewPartition(coarse.NumCells(), curP.K)
-		for v, k := range c.CellToCluster {
-			cp.Part[k] = curP.Part[v]
-		}
-		levels[len(levels)-1].c = c
-		levels = append(levels, lv{h: coarse})
-		parts = append(parts, cp)
-		cur, curP = coarse, cp
-	}
-	// Refine from the coarsest down, seeding each level with the
-	// pushed-up solution.
-	sol := parts[len(parts)-1]
-	var err error
-	if _, err = fm.Refine(levels[len(levels)-1].h, sol, cfg.Refine, rng); err != nil {
-		return nil, err
-	}
-	if len(levels) > 1 {
-		// Alternate two per-cycle buffers down the hierarchy; sol
-		// escapes to the caller, so these cannot live in ws.
-		buf, scratch := projectionBuffers(h.NumCells(), sol.K)
-		copyInto(buf, sol)
-		sol = buf
-		for i := len(levels) - 2; i >= 0; i-- {
-			if err = hypergraph.ProjectInto(levels[i].c, sol, scratch); err != nil {
-				return nil, err
-			}
-			sol, scratch = scratch, sol
-			if _, err = fm.RefineBalanced(levels[i].h, sol, cfg.Refine, rng); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sol, nil
 }

@@ -17,7 +17,7 @@ import (
 //
 // Partition buffers deliberately do NOT live here: projected solutions
 // escape to callers (VCycleCtx keeps the best candidate across
-// cycles), so the uncoarsening loops use per-call alternating buffers
+// cycles), so the uncoarsening sweep uses per-call alternating buffers
 // instead.
 type pipelineWS struct {
 	match  coarsen.Workspace

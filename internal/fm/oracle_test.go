@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mlpart/internal/gainbucket"
-	"mlpart/internal/hypergraph"
 	"mlpart/internal/oracle"
 )
 
@@ -59,44 +58,6 @@ func TestOracleWorkspaceReuseBitIdentical(t *testing.T) {
 						eng, order, seed, resWS.Cut, want)
 				}
 			}
-		}
-	}
-}
-
-// TestOracleRefineBalancedMatchesPartition pins the contract that let
-// the uncoarsening loops go in-place: RefineBalanced on a clone is
-// exactly Partition with an initial solution — same result, same RNG
-// consumption — and its cut survives the oracle recount.
-func TestOracleRefineBalancedMatchesPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	h := randomH(rng, 150, 170, 5)
-	init := hypergraph.RandomPartition(h, 2, 0.1, rand.New(rand.NewSource(1)))
-
-	pVia, resVia, err := Partition(h, init, Config{Engine: EngineCLIP}, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inPlace := init.Clone()
-	resIn, err := RefineBalanced(h, inPlace, Config{Engine: EngineCLIP}, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resVia != resIn {
-		t.Fatalf("results diverge: %+v vs %+v", resVia, resIn)
-	}
-	for v := range pVia.Part {
-		if pVia.Part[v] != inPlace.Part[v] {
-			t.Fatalf("partitions diverge at cell %d", v)
-		}
-	}
-	if want := oracle.WeightedCut(h, inPlace); resIn.Cut != want {
-		t.Fatalf("reported cut %d, oracle %d", resIn.Cut, want)
-	}
-	// Partition must not have mutated the caller's initial solution.
-	check := hypergraph.RandomPartition(h, 2, 0.1, rand.New(rand.NewSource(1)))
-	for v := range init.Part {
-		if init.Part[v] != check.Part[v] {
-			t.Fatal("Partition mutated the caller's initial partition")
 		}
 	}
 }

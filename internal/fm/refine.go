@@ -34,34 +34,12 @@ func Partition(h *hypergraph.Hypergraph, initial *hypergraph.Partition, cfg Conf
 		}
 		p = initial.Clone()
 	}
-	res, err := RefineBalanced(h, p, cfg, rng)
-	return p, res, err
-}
-
-// RefineBalanced is Partition without the initial-solution clone: it
-// rebalances p in place if the balance bound is violated (as a
-// projected solution may be, §III.B), then refines in place. For
-// callers that own p outright — the multilevel projection loop — this
-// avoids one partition allocation per level; the result is
-// bit-identical to Partition on the same inputs (Clone consumes no
-// randomness).
-func RefineBalanced(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand) (Result, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	if p.K != 2 {
-		return Result{}, fmt.Errorf("fm: initial partition has K=%d, want 2", p.K)
-	}
-	if err := p.Validate(h.NumCells()); err != nil {
-		return Result{}, err
-	}
 	bound := hypergraph.Balance(h, 2, cfg.Tolerance)
 	if !p.IsBalanced(h, bound) {
-		moved := p.Rebalance(h, bound, rng)
-		cfg.Telemetry.RecordRebalance(moved)
+		cfg.Telemetry.RecordRebalance(p.Rebalance(h, bound, rng))
 	}
-	return Refine(h, p, cfg, rng)
+	res, err := Refine(h, p, cfg, rng)
+	return p, res, err
 }
 
 // Refine improves the bipartition p in place using the configured
