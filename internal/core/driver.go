@@ -35,26 +35,26 @@ type driver[R any] struct {
 	eng                          levelRefiner[R]
 	// runs holds the engine reports behind the returned solution, one
 	// per level the engine produced, coarsest first.
-	runs []run[R]
+	runs []engineRun[R]
 }
 
 // levelRefiner is the engine seam of the driver.
 type levelRefiner[R any] interface {
 	// partition runs one start on the coarsest level; fixed cells (nil
 	// when there are none) take their pre-assigned block.
-	partition(h *hypergraph.Hypergraph, fixed []bool, pre []int32, rng *rand.Rand) (*hypergraph.Partition, run[R], error)
+	partition(h *hypergraph.Hypergraph, fixed []bool, pre []int32, rng *rand.Rand) (*hypergraph.Partition, engineRun[R], error)
 	// refine improves p in place; fixed cells never move.
-	refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, rng *rand.Rand) (run[R], error)
+	refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, rng *rand.Rand) (engineRun[R], error)
 	// audit checks a level solution from scratch; r is nil when the
 	// engine did not produce it (the degraded path).
-	audit(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, r *run[R]) error
+	audit(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, r *engineRun[R]) error
 	// corrupt perturbs p for an injected corrupt fault; p stays a valid
 	// partition with fixed cells in place, but may go unbalanced.
 	corrupt(p *hypergraph.Partition, fixed []bool, rng *rand.Rand)
 }
 
-// run is what one engine call reports to the driver.
-type run[R any] struct {
+// engineRun is what one engine call reports to the driver.
+type engineRun[R any] struct {
 	cost        int  // the engine's objective; lower is better
 	interrupted bool // a Stop hook cut the call short
 	report      R
@@ -213,7 +213,7 @@ func (d *driver[R]) run(ctx context.Context, h *hypergraph.Hypergraph, fixed []b
 		defer func() { d.tel.RecordParRegions(telemetry.StageRefine, pool.Regions()-base) }()
 	}
 	levels, seed, res, err := d.coarsen(ctx, h, fixed, pre, seed, rng)
-	d.runs = make([]run[R], 0, len(levels))
+	d.runs = make([]engineRun[R], 0, len(levels))
 	if pool != nil {
 		d.tel.RecordParRegions(telemetry.StageCoarsen, pool.Regions()-base)
 		base = pool.Regions()
@@ -239,7 +239,7 @@ func (d *driver[R]) run(ctx context.Context, h *hypergraph.Hypergraph, fixed []b
 	m := len(levels) - 1
 	top := levels[m]
 	var p *hypergraph.Partition
-	var best run[R]
+	var best engineRun[R]
 	d.tel.SetLevel(m)
 	timer := d.tel.StartTimer(telemetry.StageRefine)
 	err = Guard("coarsest-partition", m, func() error {
@@ -345,7 +345,7 @@ func (d *driver[R]) run(ctx context.Context, h *hypergraph.Hypergraph, fixed []b
 			}
 		}
 		d.rebalance(lv, p, rng)
-		var r run[R]
+		var r engineRun[R]
 		ran := false
 		if engineOK && !cancelled {
 			timer := d.tel.StartTimer(telemetry.StageRefine)
@@ -378,11 +378,11 @@ func (d *driver[R]) run(ctx context.Context, h *hypergraph.Hypergraph, fixed []b
 
 // check runs the engine's audit of level i when auditing is on; ran
 // reports whether the engine produced p, with report r.
-func (d *driver[R]) check(i int, lv level, p *hypergraph.Partition, r run[R], ran bool) error {
+func (d *driver[R]) check(i int, lv level, p *hypergraph.Partition, r engineRun[R], ran bool) error {
 	if !d.audit {
 		return nil
 	}
-	var rp *run[R]
+	var rp *engineRun[R]
 	if ran {
 		rc := r // a copy, so r itself stays off the heap on unaudited runs
 		rp = &rc
@@ -414,16 +414,17 @@ func (d *driver[R]) rebalance(lv level, p *hypergraph.Partition, rng *rand.Rand)
 // bipartition never has fixed cells.
 type twoWay struct{ cfg fm.Config }
 
-func fmRun(r fm.Result) run[fm.Result] {
-	return run[fm.Result]{cost: r.Cut, interrupted: r.Interrupted, report: r}
+// fmRun reports an fm run to the driver; its objective is the cut.
+func fmRun(r fm.Result) engineRun[fm.Result] {
+	return engineRun[fm.Result]{cost: r.Cut, interrupted: r.Interrupted, report: r}
 }
 
-func (e twoWay) partition(h *hypergraph.Hypergraph, _ []bool, _ []int32, rng *rand.Rand) (*hypergraph.Partition, run[fm.Result], error) {
+func (e twoWay) partition(h *hypergraph.Hypergraph, _ []bool, _ []int32, rng *rand.Rand) (*hypergraph.Partition, engineRun[fm.Result], error) {
 	p, r, err := fm.Partition(h, nil, e.cfg, rng)
 	return p, fmRun(r), err
 }
 
-func (e twoWay) refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, _ []bool, rng *rand.Rand) (run[fm.Result], error) {
+func (e twoWay) refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, _ []bool, rng *rand.Rand) (engineRun[fm.Result], error) {
 	r, err := fm.Refine(h, p, e.cfg, rng)
 	return fmRun(r), err
 }
@@ -431,7 +432,7 @@ func (e twoWay) refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, _ []bo
 // audit checks validity and balance and, when the engine produced p,
 // its reported cut against a from-scratch recount, plus the
 // incremental active cut for the engines that keep one.
-func (e twoWay) audit(h *hypergraph.Hypergraph, p *hypergraph.Partition, _ []bool, r *run[fm.Result]) error {
+func (e twoWay) audit(h *hypergraph.Hypergraph, p *hypergraph.Partition, _ []bool, r *engineRun[fm.Result]) error {
 	bound := hypergraph.Balance(h, 2, e.cfg.Tolerance)
 	chk := audit.NoChecks()
 	chk.K = 2
@@ -453,34 +454,36 @@ func (e twoWay) corrupt(p *hypergraph.Partition, _ []bool, rng *rand.Rand) {
 // kWay adapts the Sanchis-style multi-way engine to the driver.
 type kWay struct{ cfg kway.Config }
 
-func (e kWay) run(r kway.Result) run[kway.Result] {
+// kwayRun reports a k-way run to the driver under the configured
+// objective.
+func (e kWay) kwayRun(r kway.Result) engineRun[kway.Result] {
 	cost := r.SumDegrees
 	if e.cfg.Objective == kway.NetCut {
 		cost = r.CutNets
 	}
-	return run[kway.Result]{cost: cost, interrupted: r.Interrupted, report: r}
+	return engineRun[kway.Result]{cost: cost, interrupted: r.Interrupted, report: r}
 }
 
-func (e kWay) partition(h *hypergraph.Hypergraph, fixed []bool, pre []int32, rng *rand.Rand) (*hypergraph.Partition, run[kway.Result], error) {
+func (e kWay) partition(h *hypergraph.Hypergraph, fixed []bool, pre []int32, rng *rand.Rand) (*hypergraph.Partition, engineRun[kway.Result], error) {
 	c := e.cfg
 	var init *hypergraph.Partition
 	if fixed != nil {
 		init, c.Fixed = seededRandomPartition(h, c.K, fixed, pre, rng), fixed
 	}
 	p, r, err := kway.Partition(h, init, c, rng)
-	return p, e.run(r), err
+	return p, e.kwayRun(r), err
 }
 
-func (e kWay) refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, rng *rand.Rand) (run[kway.Result], error) {
+func (e kWay) refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, rng *rand.Rand) (engineRun[kway.Result], error) {
 	c := e.cfg
 	c.Fixed = fixed
 	r, err := kway.Refine(h, p, c, rng)
-	return e.run(r), err
+	return e.kwayRun(r), err
 }
 
 // audit checks validity, the block count and, when no cells are fixed
 // (pre-assignments can make the §III.B bound unsatisfiable), balance.
-func (e kWay) audit(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, _ *run[kway.Result]) error {
+func (e kWay) audit(h *hypergraph.Hypergraph, p *hypergraph.Partition, fixed []bool, _ *engineRun[kway.Result]) error {
 	chk := audit.NoChecks()
 	chk.K = e.cfg.K
 	if fixed == nil {
